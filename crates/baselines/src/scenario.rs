@@ -12,9 +12,11 @@
 //!
 //! ## Protocol
 //!
-//! Each cell trains its victim deterministically (same spec + seed ⇒
-//! identical weights, so cells are comparable), lets the defense transform
-//! it ([`DefenseMechanism::prepare_victim`]) and observe its deployment
+//! Each cell attacks a deterministic victim (same spec + seed + width ⇒
+//! identical weights, so cells are comparable; one matrix run trains each
+//! width once and hands every cell a deep copy), lets the defense
+//! transform it ([`DefenseMechanism::prepare_victim`]) and observe its
+//! deployment
 //! ([`DefenseMechanism::on_deploy`], where DNN-Defender profiles its
 //! secured set), then runs the attacker's search against the *belief*
 //! model. Every selected flip is replayed as a mechanistic RowHammer
@@ -23,11 +25,12 @@
 //! *real* system state (belief minus blocked flips). Bit flips commute,
 //! so the belief/real bookkeeping is exact.
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -273,8 +276,9 @@ impl fmt::Display for DefenseKind {
     }
 }
 
-/// Deterministic victim recipe: every cell rebuilds the same weights from
-/// the same seed, so rows of one matrix are directly comparable.
+/// Deterministic victim recipe: the same spec, seed and width always
+/// train the same weights, so rows of one matrix are directly comparable.
+/// A matrix run trains each width once and gives every cell a deep copy.
 #[derive(Debug, Clone)]
 pub struct VictimSpec {
     /// Victim architecture.
@@ -1092,26 +1096,34 @@ impl ScenarioMatrix {
                 .min(pending.len())
                 .max(1);
 
+            // Probe each pending cell's defense on a throwaway instance
+            // (the factory is cheap next to victim training) for its
+            // victim width and whether it taps the device online.
+            let probes: Vec<(usize, bool)> = pending
+                .iter()
+                .map(|&i| {
+                    let (d, a, m, l) = cells[i];
+                    let (name, factory, _) = &self.defenses[d];
+                    let seed = self.cell_seed(name, &attackers[a], &drams[m], loads[l]);
+                    let probe = factory(seed, &drams[m]);
+                    (probe.capacity_multiplier(), probe.has_online_tap())
+                })
+                .collect();
+
             // Partition the pending cells into cross-cell sweep groups:
             // same (attacker, device, load) with background traffic and
-            // an untapped defense (probed on a throwaway instance — the
-            // factory is cheap next to victim training). Grouped cells
-            // pause after setup, run their benign warmup windows as one
-            // kernel sweep, then return to the pool as attack jobs;
-            // everything else runs the unchanged solo path. Grouping is
-            // byte-invariant, so scheduling cannot change any report.
+            // an untapped defense. Grouped cells pause after setup, run
+            // their benign warmup windows as one kernel sweep, then
+            // return to the pool as attack jobs; everything else runs
+            // the unchanged solo path. Grouping is byte-invariant, so
+            // scheduling cannot change any report.
             let mut group_of: Vec<Option<usize>> = vec![None; pending.len()];
             let mut groups: Vec<Vec<usize>> = Vec::new();
             if self.sweep {
                 let mut by_key: HashMap<(usize, usize, usize), Vec<usize>> = HashMap::new();
                 for (p, &i) in pending.iter().enumerate() {
-                    let (d, a, m, l) = cells[i];
-                    if loads[l] == BackgroundLoad::None {
-                        continue;
-                    }
-                    let (name, factory, _) = &self.defenses[d];
-                    let probe_seed = self.cell_seed(name, &attackers[a], &drams[m], loads[l]);
-                    if factory(probe_seed, &drams[m]).has_online_tap() {
+                    let (_, a, m, l) = cells[i];
+                    if loads[l] == BackgroundLoad::None || probes[p].1 {
                         continue;
                     }
                     by_key.entry((a, m, l)).or_default().push(p);
@@ -1137,8 +1149,26 @@ impl ScenarioMatrix {
                 arrived: Vec<(usize, Box<CellState>)>,
             }
 
-            let queue: Mutex<Vec<Job>> =
-                Mutex::new((0..pending.len()).rev().map(|p| Job::Setup { p }).collect());
+            /// The worker pool's shared state: jobs ready to run (a
+            /// stack) and cells not yet finished. Workers with nothing to
+            /// pop wait on `wake`, which is notified on every push and
+            /// when the last cell finishes.
+            struct Queue {
+                jobs: Vec<Job>,
+                remaining: usize,
+            }
+
+            // Set up the widest victims first (a stable sort, so equal
+            // widths keep matrix order): a wide victim trains alongside
+            // the narrow one instead of after it.
+            let mut order: Vec<usize> = (0..pending.len()).collect();
+            order.sort_by_key(|&p| Reverse(probes[p].0));
+            let queue = Mutex::new(Queue {
+                jobs: order.into_iter().rev().map(|p| Job::Setup { p }).collect(),
+                remaining: pending.len(),
+            });
+            let wake = Condvar::new();
+            let memo = RunMemo::new(probes.iter().map(|&(width, _)| width));
             let group_slots: Vec<Mutex<GroupSlot>> = groups
                 .iter()
                 .map(|members| {
@@ -1148,7 +1178,6 @@ impl ScenarioMatrix {
                     })
                 })
                 .collect();
-            let remaining = AtomicUsize::new(pending.len());
             let pending = &pending;
             let cells = &cells;
             let attackers = &attackers;
@@ -1156,10 +1185,17 @@ impl ScenarioMatrix {
             let loads = &loads;
             let group_of = &group_of;
             let queue = &queue;
+            let wake = &wake;
+            let memo = &memo;
             let group_slots = &group_slots;
-            let remaining = &remaining;
             let done = &done;
             let slots = &slots;
+
+            let push_jobs = move |jobs: Vec<Job>| {
+                queue.lock().expect("job queue").jobs.extend(jobs);
+                wake.notify_all();
+            };
+            let push_jobs = &push_jobs;
 
             let finish_cell = move |i: usize, result: Result<CellReport, DramError>, ms: u64| {
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1173,23 +1209,33 @@ impl ScenarioMatrix {
                     });
                 }
                 *slots[i].lock().expect("cell slot") = Some(result);
-                remaining.fetch_sub(1, Ordering::Release);
+                let mut q = queue.lock().expect("job queue");
+                q.remaining -= 1;
+                if q.remaining == 0 {
+                    wake.notify_all();
+                }
             };
             let finish_cell = &finish_cell;
 
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(move || loop {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        let job = queue.lock().expect("job queue").pop();
-                        let Some(job) = job else {
-                            // Jobs still in flight on other workers may
-                            // yet push attack work back to the pool.
-                            std::thread::sleep(Duration::from_micros(200));
-                            continue;
+                        let job = {
+                            let mut q = queue.lock().expect("job queue");
+                            loop {
+                                if let Some(job) = q.jobs.pop() {
+                                    break Some(job);
+                                }
+                                if q.remaining == 0 {
+                                    break None;
+                                }
+                                // Jobs still in flight on other workers
+                                // may yet push attack work back to the
+                                // pool.
+                                q = wake.wait(q).expect("job queue");
+                            }
                         };
+                        let Some(job) = job else { break };
                         match job {
                             Job::Setup { p } => {
                                 let i = pending[p];
@@ -1200,17 +1246,17 @@ impl ScenarioMatrix {
                                     let _span = dd_obs::span_with("matrix.cell_setup", || {
                                         format!("defense={name} cell={i}")
                                     });
-                                    self.cell_setup(d, &attackers[a], &drams[m], loads[l])
+                                    self.cell_setup(memo, d, &attackers[a], &drams[m], loads[l])
                                 };
                                 let mut ready: Vec<(usize, Box<CellState>)> = Vec::new();
                                 match (setup, group_of[p]) {
                                     (Ok(mut state), None) => match self.warmup_solo(&mut state) {
                                         Ok(()) => {
                                             state.millis += started.elapsed().as_millis() as u64;
-                                            queue.lock().expect("job queue").push(Job::Attack {
+                                            push_jobs(vec![Job::Attack {
                                                 i,
                                                 state: Box::new(state),
-                                            });
+                                            }]);
                                         }
                                         Err(e) => finish_cell(
                                             i,
@@ -1256,14 +1302,18 @@ impl ScenarioMatrix {
                                         Ok(()) => {
                                             let share = (warm_started.elapsed().as_millis() as u64)
                                                 / states.len().max(1) as u64;
-                                            let mut q = queue.lock().expect("job queue");
-                                            for (ci, mut st) in idxs.into_iter().zip(states) {
-                                                st.millis += share;
-                                                q.push(Job::Attack {
-                                                    i: ci,
-                                                    state: Box::new(st),
-                                                });
-                                            }
+                                            push_jobs(
+                                                idxs.into_iter()
+                                                    .zip(states)
+                                                    .map(|(ci, mut st)| {
+                                                        st.millis += share;
+                                                        Job::Attack {
+                                                            i: ci,
+                                                            state: Box::new(st),
+                                                        }
+                                                    })
+                                                    .collect(),
+                                            );
                                         }
                                         Err(e) => {
                                             let ms = warm_started.elapsed().as_millis() as u64;
@@ -1312,13 +1362,16 @@ impl ScenarioMatrix {
         ))
     }
 
-    /// Phase 1 of a cell: train and deploy the victim, run the
-    /// attacker's search, assemble the scratch device and its background
-    /// traffic — everything up to (but excluding) the warmup windows.
-    /// The returned state is `Send`, so a sweep group can collect its
-    /// members from whichever worker threads set them up.
+    /// Phase 1 of a cell: copy the run's trained victim, let the defense
+    /// prepare and deploy it, run the attacker's search (shared through
+    /// `memo` with every cell whose pre-search model is identical),
+    /// assemble the scratch device and its background traffic —
+    /// everything up to (but excluding) the warmup windows. The returned
+    /// state is `Send`, so a sweep group can collect its members from
+    /// whichever worker threads set them up.
     fn cell_setup(
         &self,
+        memo: &RunMemo,
         defense_idx: usize,
         attacker: &AttackerKind,
         dram: &DramConfig,
@@ -1331,8 +1384,8 @@ impl ScenarioMatrix {
         let mut defense = factory(seed, dram);
 
         // Victim: deterministic per (spec, width), so every cell of the
-        // same width attacks identical weights.
-        let (mut net, dataset) = self.victim.build(defense.capacity_multiplier());
+        // same width attacks identical weights — trained once per run.
+        let (mut net, dataset) = memo.victim(&self.victim, defense.capacity_multiplier());
         defense.prepare_victim(&mut net, &dataset, &mut rng);
         let mut model = QModel::from_network(net);
         let mut data_rng = StdRng::seed_from_u64(self.victim.seed ^ 0x5eed_da7a);
@@ -1360,22 +1413,14 @@ impl ScenarioMatrix {
             ..self.attack
         };
         let flips: Vec<BitFlip> = match attacker {
-            AttackerKind::Bfa => run_bfa(&mut model, &data, &search_cfg, &HashSet::new())
-                .steps
-                .iter()
-                .map(|s| s.flip)
-                .collect(),
+            AttackerKind::Bfa => memo.bfa(&mut model, &data, &search_cfg, &HashSet::new()),
             AttackerKind::Adaptive(threat) => {
                 let skip = if threat.is_defense_aware() {
                     defense.secured_bits().cloned().unwrap_or_default()
                 } else {
                     HashSet::new()
                 };
-                run_bfa(&mut model, &data, &search_cfg, &skip)
-                    .steps
-                    .iter()
-                    .map(|s| s.flip)
-                    .collect()
+                memo.bfa(&mut model, &data, &search_cfg, &skip)
             }
             AttackerKind::Tbfa(goal) => {
                 run_tbfa(&mut model, &data, &search_cfg, *goal, &HashSet::new()).flips
@@ -1653,7 +1698,177 @@ impl ScenarioMatrix {
     }
 }
 
-/// A cell paused between its setup phase (victim training, defense
+/// A trained victim: the float network and the dataset it was trained on.
+type Victim = (Network, Arc<Dataset>);
+
+/// Work shared by the cells of one [`ScenarioMatrix::run_with_cache`]
+/// call and dropped when it returns.
+///
+/// - Victims, keyed by width multiplier: each trains once; a cell that
+///   needs a victim another worker is still training blocks on its
+///   `OnceLock`. The last cell of a width takes the trained original
+///   and drops the entry, so a one-cell matrix keeps nothing alive.
+/// - BFA searches, keyed by everything that determines one (see
+///   [`SearchKey`]). A repeat replays the recorded flips instead of
+///   searching, which leaves the model exactly as the search would.
+///
+/// Map locks are held only to fetch an entry, never while it fills.
+struct RunMemo {
+    victims: Mutex<HashMap<usize, VictimSlot>>,
+    searches: Mutex<HashMap<SearchKey, Arc<OnceLock<Vec<BitFlip>>>>>,
+}
+
+/// One width's victim and how many cells have yet to ask for it.
+#[derive(Default)]
+struct VictimSlot {
+    /// Cells of this width still expected (from the factory probes).
+    remaining: usize,
+    victim: Arc<OnceLock<Victim>>,
+}
+
+impl RunMemo {
+    /// A memo for a run whose cells need victims of these widths (one
+    /// entry per cell).
+    fn new(widths: impl IntoIterator<Item = usize>) -> Self {
+        let mut victims: HashMap<usize, VictimSlot> = HashMap::new();
+        for width in widths {
+            victims.entry(width).or_default().remaining += 1;
+        }
+        RunMemo {
+            victims: Mutex::new(victims),
+            searches: Mutex::default(),
+        }
+    }
+
+    /// The victim at `width`, training it on first use. Cells mutate
+    /// their victim, so each gets its own: a deep copy, or the trained
+    /// original for the last expected cell. The original holds no
+    /// forward caches, so the memo costs parameters, not activations.
+    fn victim(&self, spec: &VictimSpec, width: usize) -> (Network, Arc<Dataset>) {
+        let (entry, last) = {
+            let mut victims = self.victims.lock().expect("victim memo");
+            let slot = victims.entry(width).or_default();
+            let entry = Arc::clone(&slot.victim);
+            let last = slot.remaining == 1;
+            if last {
+                victims.remove(&width);
+            } else {
+                slot.remaining = slot.remaining.saturating_sub(1);
+            }
+            (entry, last)
+        };
+        entry.get_or_init(|| {
+            let _span = dd_obs::span_with("matrix.victim_build", || format!("width={width}"));
+            dd_obs::add("matrix.victim_builds", 1);
+            let (mut net, dataset) = spec.build(width);
+            net.clear_caches();
+            (net, Arc::new(dataset))
+        });
+        let entry = if last {
+            // Another cell may still be copying; then the last one
+            // copies too.
+            match Arc::try_unwrap(entry) {
+                Ok(victim) => return victim.into_inner().expect("initialised above"),
+                Err(entry) => entry,
+            }
+        } else {
+            entry
+        };
+        let (net, dataset) = entry.get().expect("initialised above");
+        (net.clone(), Arc::clone(dataset))
+    }
+
+    /// [`run_bfa`]'s committed flips, searching only the first time this
+    /// exact search is asked for. `data` is not part of the key: every
+    /// cell of a run draws the same attack batch from the same dataset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a replayed flip differs from the recorded one.
+    fn bfa(
+        &self,
+        model: &mut QModel,
+        data: &AttackData,
+        config: &AttackConfig,
+        skip: &HashSet<BitAddr>,
+    ) -> Vec<BitFlip> {
+        let key = SearchKey::new(model, config, skip);
+        let entry = Arc::clone(
+            self.searches
+                .lock()
+                .expect("search memo")
+                .entry(key)
+                .or_default(),
+        );
+        let mut searched = false;
+        let flips = entry.get_or_init(|| {
+            searched = true;
+            run_bfa(model, data, config, skip)
+                .steps
+                .iter()
+                .map(|s| s.flip)
+                .collect()
+        });
+        if !searched {
+            dd_obs::add("matrix.search_memo_hits", 1);
+            for recorded in flips {
+                assert_eq!(
+                    model.flip_bit(recorded.addr),
+                    *recorded,
+                    "memoized BFA replay"
+                );
+            }
+        }
+        flips.clone()
+    }
+}
+
+/// Everything a BFA search reads, compared exactly: a hash collision can
+/// only cost a miss. Within one run the architecture is fixed by the
+/// victim spec and the width, which the tensor lengths pin down.
+#[derive(PartialEq, Eq, Hash)]
+struct SearchKey {
+    /// Quantized codes, per tensor.
+    codes: Vec<Vec<i8>>,
+    /// Bit patterns of the quantizer scales, every float parameter and
+    /// every running statistic, each tensor preceded by its length.
+    floats: Vec<u32>,
+    /// `target_accuracy` bits, `max_flips`, `evaluate_top_k`,
+    /// `record_every`.
+    config: [u64; 4],
+    /// The skip set, sorted.
+    skip: Vec<BitAddr>,
+}
+
+impl SearchKey {
+    fn new(model: &mut QModel, config: &AttackConfig, skip: &HashSet<BitAddr>) -> Self {
+        let mut floats: Vec<u32> = (0..model.num_qparams())
+            .map(|p| model.qtensor(p).quant_params().scale.to_bits())
+            .collect();
+        let mut push = |values: &[f32]| {
+            floats.push(values.len() as u32);
+            floats.extend(values.iter().map(|v| v.to_bits()));
+        };
+        let net = model.network_mut();
+        net.visit_params(&mut |p| push(p.value.as_slice()));
+        net.visit_running_stats(&mut push);
+        let mut skip: Vec<BitAddr> = skip.iter().copied().collect();
+        skip.sort_unstable();
+        SearchKey {
+            codes: model.snapshot_q(),
+            floats,
+            config: [
+                u64::from(config.target_accuracy.to_bits()),
+                config.max_flips as u64,
+                config.evaluate_top_k as u64,
+                config.record_every as u64,
+            ],
+            skip,
+        }
+    }
+}
+
+/// A cell paused between its setup phase (victim preparation, defense
 /// deployment, attack search, device + traffic assembly) and its
 /// measurement phases (warmup, then attacked windows). States are `Send`
 /// — [`DefenseMechanism`] and the traffic's generators carry the bound —
@@ -1877,6 +2092,48 @@ mod tests {
             a.cells[0].post_attack_accuracy,
             b.cells[0].post_attack_accuracy
         );
+    }
+
+    /// The run-scoped memo is invisible in the reports: every cell of a
+    /// matrix that shares victims and searches across cells is
+    /// byte-identical to the same cell run as a one-cell matrix, which
+    /// trains its own victim and runs its own search.
+    #[test]
+    fn memoized_cells_match_one_cell_matrices() {
+        let kinds = [
+            DefenseKind::Undefended,
+            DefenseKind::Clustering,
+            DefenseKind::CapacityX2,
+            DefenseKind::DnnDefender,
+        ];
+        let attackers = [
+            AttackerKind::Bfa,
+            AttackerKind::Adaptive(ThreatModel::WhiteBox),
+        ];
+        let base = || quick_matrix().budget(8);
+        let shared = attackers.into_iter().fold(base(), ScenarioMatrix::attacker);
+        let shared = kinds
+            .into_iter()
+            .fold(shared, ScenarioMatrix::defense_kind)
+            .run()
+            .expect("shared matrix");
+        assert_eq!(shared.cells.len(), kinds.len() * attackers.len());
+        let mut cells = shared.cells.iter();
+        for kind in kinds {
+            for attacker in attackers {
+                let alone = base()
+                    .attacker(attacker)
+                    .defense_kind(kind)
+                    .run()
+                    .expect("one-cell matrix");
+                let cell = cells.next().expect("shared cell");
+                assert_eq!(
+                    cell.to_json().render_pretty(),
+                    alone.cells[0].to_json().render_pretty(),
+                    "{kind} / {attacker}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -639,7 +639,7 @@ fn table3(ctx: &mut RunContext<'_>) -> Result<Artifact, DramError> {
     if ctx.verbose {
         println!(
             "[table3] running the {}-cell defense matrix (ResNet-20 on {}; every cell \
-             retrains the victim deterministically; cells run in parallel)...",
+             copies the victim, trained once per width; cells run in parallel)...",
             matrix.scenarios().len(),
             DatasetKind::Cifar10.name(),
         );

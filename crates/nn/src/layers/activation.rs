@@ -4,7 +4,7 @@ use crate::layers::{Layer, Param};
 use crate::tensor::Tensor;
 
 /// Rectified linear unit.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Relu {
     mask: Option<Vec<bool>>,
 }
@@ -39,6 +39,14 @@ impl Layer for Relu {
 
     fn name(&self) -> &str {
         "relu"
+    }
+
+    fn clear_cache(&mut self) {
+        self.mask = None;
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
     }
 }
 

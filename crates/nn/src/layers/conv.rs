@@ -5,7 +5,7 @@ use crate::ops::{conv2d_backward, conv2d_forward, ConvGeometry};
 use crate::tensor::Tensor;
 
 /// Square-kernel 2-D convolution over NCHW batches.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     name: String,
     geometry: ConvGeometry,
@@ -89,6 +89,14 @@ impl Layer for Conv2d {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn clear_cache(&mut self) {
+        self.cached_cols = None;
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
     }
 }
 

@@ -5,7 +5,7 @@ use crate::ops::{matmul, matmul_nt, matmul_tn};
 use crate::tensor::Tensor;
 
 /// `y = x Wᵀ + b` with `x: [n, in]`, `W: [out, in]`, `b: [out]`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     name: String,
     weight: Param,
@@ -92,6 +92,14 @@ impl Layer for Linear {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn clear_cache(&mut self) {
+        self.cached_input = None;
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
     }
 }
 

@@ -58,7 +58,7 @@ impl Param {
 /// The contract is the classic cache-and-replay one:
 /// [`Layer::forward`] must be called before [`Layer::backward`], and
 /// `backward` consumes the cache of the *most recent* forward.
-pub trait Layer: std::fmt::Debug + Send {
+pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Compute the layer output, caching intermediates for backward.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
@@ -72,8 +72,30 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Visit every parameter in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 
+    /// Visit the non-learnable state inference reads (normalization
+    /// running statistics) in a stable order. Stateless layers visit
+    /// nothing.
+    fn visit_running_stats(&self, _f: &mut dyn FnMut(&[f32])) {}
+
+    /// Drop the activations the last forward cached for backward (the
+    /// next forward refills them), so a long-lived copy costs only its
+    /// parameters. Layers without activation-sized caches keep the
+    /// default no-op.
+    fn clear_cache(&mut self) {}
+
     /// Stable display name.
     fn name(&self) -> &str;
+
+    /// Deep copy behind a fresh box: parameters, gradients, running
+    /// statistics and forward caches alike, so the copy trains exactly
+    /// as the original would.
+    fn boxed_clone(&self) -> Box<dyn Layer>;
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        self.boxed_clone()
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use crate::layers::{Layer, Param};
 use crate::tensor::Tensor;
 
 /// Per-channel normalization over NCHW or NC inputs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ChannelNorm {
     name: String,
     gamma: Param,
@@ -169,8 +169,22 @@ impl Layer for ChannelNorm {
         f(&mut self.beta);
     }
 
+    fn visit_running_stats(&self, f: &mut dyn FnMut(&[f32])) {
+        f(&self.running_mean);
+        f(&self.running_var);
+    }
+
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn clear_cache(&mut self) {
+        self.cached_xhat = None;
+        self.cached_inv_std = Vec::new();
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
     }
 }
 

@@ -7,7 +7,7 @@ use crate::ops::{
 use crate::tensor::Tensor;
 
 /// 2×2 average pooling (stride 2).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct AvgPool2 {
     in_hw: (usize, usize),
 }
@@ -34,10 +34,14 @@ impl Layer for AvgPool2 {
     fn name(&self) -> &str {
         "avgpool2"
     }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
 }
 
 /// Global average pooling `[n, c, h, w] → [n, c]`.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct GlobalAvgPool {
     in_hw: (usize, usize),
 }
@@ -64,10 +68,14 @@ impl Layer for GlobalAvgPool {
     fn name(&self) -> &str {
         "global_avgpool"
     }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
 }
 
 /// Flatten `[n, …] → [n, prod(…)]`.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Flatten {
     in_shape: Vec<usize>,
 }
@@ -95,6 +103,10 @@ impl Layer for Flatten {
 
     fn name(&self) -> &str {
         "flatten"
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
     }
 }
 

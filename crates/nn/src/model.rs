@@ -9,7 +9,7 @@ use crate::tensor::Tensor;
 /// Parameters are visited layer by layer in push order — this ordering is
 /// the contract the quantizer (`dd-qnn`) and the attack bit-addressing
 /// build on.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
     name: String,
@@ -70,6 +70,20 @@ impl Network {
         }
     }
 
+    /// Visit every layer's running statistics in a stable order.
+    pub fn visit_running_stats(&self, f: &mut dyn FnMut(&[f32])) {
+        for layer in &self.layers {
+            layer.visit_running_stats(f);
+        }
+    }
+
+    /// Drop every layer's forward caches (see [`Layer::clear_cache`]).
+    pub fn clear_caches(&mut self) {
+        for layer in &mut self.layers {
+            layer.clear_cache();
+        }
+    }
+
     /// Zero every gradient.
     pub fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());
@@ -119,7 +133,7 @@ impl Network {
 ///
 /// `main` is typically conv–norm–relu–conv–norm; `shortcut` is empty
 /// (identity) or a 1×1 strided projection.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ResidualBlock {
     name: String,
     main: Vec<Box<dyn Layer>>,
@@ -204,8 +218,25 @@ impl Layer for ResidualBlock {
         }
     }
 
+    fn visit_running_stats(&self, f: &mut dyn FnMut(&[f32])) {
+        for layer in self.main.iter().chain(&self.shortcut) {
+            layer.visit_running_stats(f);
+        }
+    }
+
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn clear_cache(&mut self) {
+        self.relu_mask = None;
+        for layer in self.main.iter_mut().chain(&mut self.shortcut) {
+            layer.clear_cache();
+        }
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
     }
 }
 
@@ -267,6 +298,71 @@ mod tests {
         let g = block.backward(&Tensor::full(&[1, 4], 1.0));
         // Identity shortcut grad + zero-weight main grad, gated by relu.
         assert_eq!(g.as_slice(), &[1.0, 0.0, 1.0, 0.0]);
+    }
+
+    /// Every parameter value and running statistic, as bit patterns.
+    fn state_bits(net: &mut Network) -> Vec<Vec<u32>> {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut out: Vec<Vec<u32>> = net.snapshot().iter().map(|t| bits(t.as_slice())).collect();
+        net.visit_running_stats(&mut |s| out.push(bits(s)));
+        out
+    }
+
+    #[test]
+    fn cloned_network_trains_bit_identically() {
+        use crate::data::{Dataset, SyntheticSpec};
+        use crate::layers::{ChannelNorm, Conv2d, Flatten, GlobalAvgPool};
+        use crate::ops::ConvGeometry;
+        use crate::train::{train, TrainConfig};
+
+        let geometry = |in_channels, out_channels| ConvGeometry {
+            in_channels,
+            out_channels,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let mut rng = crate::init::seeded_rng(21);
+        let spec = SyntheticSpec {
+            classes: 3,
+            channels: 1,
+            height: 6,
+            width: 6,
+            train_per_class: 8,
+            test_per_class: 4,
+            noise: 0.3,
+            brightness_jitter: 0.1,
+        };
+        let dataset = Dataset::generate(spec, &mut rng);
+        let main: Vec<Box<dyn Layer>> = vec![
+            Box::new(Conv2d::kaiming("rb.conv", geometry(4, 4), &mut rng)),
+            Box::new(ChannelNorm::new("rb.bn", 4)),
+        ];
+        let mut net = Network::new("cnn")
+            .push(Conv2d::kaiming("stem", geometry(1, 4), &mut rng))
+            .push(ChannelNorm::new("stem.bn", 4))
+            .push(Relu::new())
+            .push(ResidualBlock::new("rb", main, vec![]))
+            .push(GlobalAvgPool::new())
+            .push(Flatten::new())
+            .push(Linear::kaiming("fc", 4, 3, &mut rng));
+        let config = TrainConfig {
+            epochs: 1,
+            batch_size: 8,
+            ..TrainConfig::default()
+        };
+        train(&mut net, &dataset, config, &mut rng);
+
+        net.clear_caches();
+        let mut copy = net.clone();
+        let mut stats = 0;
+        copy.visit_running_stats(&mut |_| stats += 1);
+        assert_eq!(stats, 4, "two norms, mean and var each");
+        let mut rng_a = crate::init::seeded_rng(5);
+        let mut rng_b = crate::init::seeded_rng(5);
+        train(&mut net, &dataset, config, &mut rng_a);
+        train(&mut copy, &dataset, config, &mut rng_b);
+        assert_eq!(state_bits(&mut copy), state_bits(&mut net));
     }
 
     #[test]
