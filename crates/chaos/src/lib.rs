@@ -290,7 +290,10 @@ mod tests {
 
     #[test]
     fn disarmed_probes_are_inert_and_free_of_state() {
-        // No session: probes must return false/0 and record nothing.
+        // No session: probes must return false/0 and record nothing. Hold
+        // the session lock so no concurrently running test arms a plan
+        // in the middle of the checks.
+        let _no_session = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!armed());
         assert!(!fires("test.site", 7));
         assert_eq!(payload("test.site", 7), 0);
@@ -376,6 +379,9 @@ mod tests {
         assert!(fires("test.drain", 0));
         let report = session.finish();
         assert_eq!(report.fires_at("test.drain"), 1);
+        // Hold the session lock so no concurrently running test arms a
+        // plan before the disarmed checks.
+        let _no_session = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!armed());
         assert!(!fires("test.drain", 0));
     }

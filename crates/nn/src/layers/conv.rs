@@ -1,4 +1,8 @@
-//! 2-D convolution layer (im2col-based).
+//! 2-D convolution layer over patch-major im2col columns.
+//!
+//! The forward pass caches the `[n, c·k·k, oh·ow]` columns that
+//! [`conv2d_forward`] builds, and the backward pass reads them back; see
+//! [`crate::ops`] for the layout and the fixed summation order.
 
 use crate::layers::{Layer, Param};
 use crate::ops::{conv2d_backward, conv2d_forward, ConvGeometry};

@@ -48,7 +48,8 @@ pub struct TrainReport {
 }
 
 /// Train `net` on `dataset.train` with SGD, shuffling each epoch using
-/// `rng`. Returns the loss history and final accuracies.
+/// `rng`. Returns the loss history and final accuracies. Each epoch is one
+/// `nn.train_epoch` span when `dd-obs` is recording.
 pub fn train(
     net: &mut Network,
     dataset: &Dataset,
@@ -61,6 +62,7 @@ pub fn train(
     let mut epoch_losses = Vec::with_capacity(config.epochs);
 
     for _epoch in 0..config.epochs {
+        let _span = dd_obs::span("nn.train_epoch");
         // Fisher–Yates shuffle.
         for i in (1..order.len()).rev() {
             let j = rng.gen_range(0..=i);

@@ -1052,6 +1052,16 @@ impl SweepServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests that run cells through the executor. An armed
+    /// `dd-chaos` plan is process-global, so while one test injects worker
+    /// panics, any other test's jobs would draw the same faults; every test
+    /// that executes a cell, or arms a plan, holds this lock.
+    fn executor_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn test_server(capacity_micros: u64) -> SweepServer {
         let config = ServerConfig {
@@ -1123,6 +1133,7 @@ mod tests {
 
     #[test]
     fn storm_sheds_lowest_priority_newest_first_but_keeps_one() {
+        let _executor = executor_lock();
         // Capacity below a single cell's price: the offered 3-cell batch
         // storms; two get shed (lowest priority, newest first), one
         // survives so the server still makes progress. Budget accounting
@@ -1182,6 +1193,7 @@ mod tests {
 
     #[test]
     fn warm_inflight_backlog_flips_calm_to_pre_storm() {
+        let _executor = executor_lock();
         // Size the capacity to one cell's estimate: a lone submit is Calm,
         // but the same submit while an earlier one is still in flight
         // classifies against offered + carryover and goes PreStorm. The
@@ -1292,6 +1304,7 @@ mod tests {
 
     #[test]
     fn injected_worker_panic_becomes_job_failed_with_refund_never_process_death() {
+        let _executor = executor_lock();
         let mut server = test_server(1_000_000);
         let line = submit_line("chaotic", &["Baseline (undefended):BFA:lpddr4_small:none"]);
         let session = dd_chaos::arm(
