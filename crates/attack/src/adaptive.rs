@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use dd_qnn::{BitAddr, BitFlip, QModel};
 
-use crate::bfa::{intra_layer_candidates, run_bfa, AttackData, AttackReport};
+use crate::bfa::{run_bfa, AttackData, AttackReport, Search};
 use crate::threat::{AttackConfig, ThreatModel};
 
 /// Report of an attack against a DNN-Defender-protected model.
@@ -69,14 +69,16 @@ fn into_protected_report(report: AttackReport, threat: ThreatModel) -> Protected
 /// The defense-blind attacker. The model instance plays the attacker's
 /// belief state (all flips applied); the *real* system state is obtained
 /// by reverting the flips that the defense blocked, which is exact because
-/// bit flips commute.
+/// bit flips commute. Steps cost what [`run_bfa`]'s do; the real accuracy
+/// is read off the search's logits while no flip has been blocked.
 fn semi_white_box(
     model: &mut QModel,
     data: &AttackData,
     config: &AttackConfig,
     protected: &HashSet<BitAddr>,
 ) -> ProtectedAttackReport {
-    let clean_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
+    let mut search = Search::start(model, data, &data.search_labels, false, config.max_flips);
+    let clean_accuracy = search.eval_accuracy(model);
     let mut blocked: Vec<BitFlip> = Vec::new();
     let mut attempted = 0usize;
     let mut landed = 0usize;
@@ -84,35 +86,20 @@ fn semi_white_box(
     let empty = HashSet::new();
 
     for iter in 0..config.max_flips {
-        let grads = model.weight_grads(&data.search_images, &data.search_labels);
-        let mut candidates = intra_layer_candidates(model, &grads, &empty);
-        if candidates.is_empty() {
+        let Some(step) = search.step(model, &empty, config.evaluate_top_k) else {
             break;
-        }
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.truncate(config.evaluate_top_k.max(1));
-        let mut best: Option<(BitAddr, f32)> = None;
-        for &(addr, _) in &candidates {
-            let flip = model.flip_bit(addr);
-            let loss = model.loss(&data.search_images, &data.search_labels);
-            model.unflip(flip);
-            if best.is_none_or(|(_, bl)| loss > bl) {
-                best = Some((addr, loss));
-            }
-        }
-        let (addr, _) = best.expect("non-empty candidates");
-        let flip = model.flip_bit(addr);
+        };
         attempted += 1;
-        if protected.contains(&addr) {
+        if protected.contains(&step.flip.addr) {
             // The defense refreshed the row before T_RH: the flip never
             // landed on the real system, but the attacker believes it did.
-            blocked.push(flip);
+            blocked.push(step.flip);
         } else {
             landed += 1;
         }
 
         if (iter + 1) % config.record_every.max(1) == 0 {
-            let acc = real_accuracy(model, data, &blocked);
+            let acc = real_accuracy(model, data, &search, &blocked);
             trajectory.push((attempted, acc));
             if acc <= config.target_accuracy {
                 break;
@@ -120,7 +107,7 @@ fn semi_white_box(
         }
     }
 
-    let final_accuracy = real_accuracy(model, data, &blocked);
+    let final_accuracy = real_accuracy(model, data, &search, &blocked);
 
     ProtectedAttackReport {
         threat: ThreatModel::SemiWhiteBox,
@@ -133,10 +120,23 @@ fn semi_white_box(
 }
 
 /// Evaluate the real (defended) system: the belief model minus the flips
-/// the defense blocked.
-fn real_accuracy(model: &mut QModel, data: &AttackData, blocked: &[BitFlip]) -> f32 {
-    for flip in blocked.iter().rev() {
-        model.unflip(*flip);
+/// the defense blocked. With nothing blocked the two models are one, so
+/// the belief search's eval accuracy is the answer
+/// (see [`Search::eval_logits`]).
+fn real_accuracy(
+    model: &mut QModel,
+    data: &AttackData,
+    search: &Search,
+    blocked: &[BitFlip],
+) -> f32 {
+    if blocked.is_empty() {
+        return search.eval_accuracy(model);
+    }
+    // Toggle the blocked bits rather than `unflip` their records: a later
+    // landed flip of another bit of the same weight makes a record's
+    // `new` value stale, but bit toggles commute.
+    for flip in blocked {
+        model.flip_bit(flip.addr);
     }
     let acc = model.accuracy(&data.eval_images, &data.eval_labels);
     for flip in blocked {

@@ -12,12 +12,14 @@
 //! The search maximizes Eqn. 1 while keeping the Hamming distance to the
 //! clean weights minimal (one committed flip per iteration).
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
+use dd_nn::loss::{accuracy, cross_entropy};
 use dd_nn::Tensor;
-use dd_qnn::{BitAddr, BitFlip, QModel};
+use dd_qnn::{BitAddr, BitFlip, ForwardRecord, QModel};
 
 use crate::threat::AttackConfig;
 
@@ -88,11 +90,24 @@ impl AttackData {
             eval_labels: labels,
         }
     }
+
+    /// Whether the eval images are the search images, bit for bit: then
+    /// every search-batch forward is also the eval-batch forward.
+    pub(crate) fn eval_is_search(&self) -> bool {
+        let (search, eval) = (self.search_images.as_slice(), self.eval_images.as_slice());
+        self.search_images.shape() == self.eval_images.shape()
+            && search
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(eval.iter().map(|v| v.to_bits()))
+    }
 }
 
 /// Find the best (highest first-order gain) non-skipped bit of every
 /// parameter: the intra-layer search. Returns `(addr, gain)` per parameter
-/// that has at least one allowed bit.
+/// that has at least one allowed bit. Only finite, strictly positive
+/// gains compete, so a NaN or infinite gradient entry never becomes a
+/// candidate.
 // The loop indexes are semantic (bit/param addresses), not mere
 // positions; iterator rewrites would obscure that.
 #[allow(clippy::needless_range_loop)]
@@ -115,7 +130,7 @@ pub fn intra_layer_candidates(
             let q = qt.get(index);
             for bit in 0..dd_qnn::WEIGHT_BITS {
                 let gain = grad * scale * dd_qnn::flip_delta(q, bit) as f32;
-                if gain <= 0.0 {
+                if !gain.is_finite() || gain <= 0.0 {
                     continue;
                 }
                 if best.is_none_or(|(_, bg)| gain > bg) {
@@ -133,7 +148,180 @@ pub fn intra_layer_candidates(
     out
 }
 
+/// The intra-layer candidates ranked highest gain first (ties keep
+/// parameter order) and cut to the `top_k` the inter-layer search
+/// evaluates.
+pub(crate) fn ranked_candidates(
+    model: &QModel,
+    grads: &[Tensor],
+    skip: &HashSet<BitAddr>,
+    top_k: usize,
+) -> Vec<(BitAddr, f32)> {
+    let mut candidates = intra_layer_candidates(model, grads, skip);
+    candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
+    candidates.truncate(top_k.max(1));
+    candidates
+}
+
+/// The inter-layer search: flip each candidate, re-run the network from
+/// the flipped parameter's top-level layer on `record`'s inputs (the
+/// layers before it did not change), score the logits, and unflip.
+/// Returns the first candidate with the highest score, that score, and
+/// its logits, which are the search-batch logits of the model once that
+/// flip is committed.
+///
+/// # Panics
+///
+/// Panics if `candidates` is empty.
+fn best_candidate(
+    model: &mut QModel,
+    record: &ForwardRecord,
+    candidates: &[(BitAddr, f32)],
+    score: impl Fn(&Tensor) -> f32,
+) -> (BitAddr, f32, Tensor) {
+    let depth = record.layer_inputs.len();
+    let mut layers_run = 0;
+    let mut best: Option<(BitAddr, f32, Tensor)> = None;
+    for &(addr, _) in candidates {
+        let flip = model.flip_bit(addr);
+        let logits = model.resume_forward(record, addr.param);
+        model.unflip(flip);
+        layers_run += depth - model.qparam_layer(addr.param);
+        let value = score(&logits);
+        if best.as_ref().is_none_or(|&(_, bv, _)| value > bv) {
+            best = Some((addr, value, logits));
+        }
+    }
+    dd_obs::add("attack.candidate_evals", candidates.len() as u64);
+    dd_obs::add("attack.candidate_layers_run", layers_run as u64);
+    best.expect("candidates were non-empty")
+}
+
+/// One committed step of a [`Search`].
+pub(crate) struct Step {
+    /// The committed flip.
+    pub flip: BitFlip,
+    /// Search-batch loss before the flip.
+    pub loss_before: f32,
+    /// Search-batch loss after the flip.
+    pub loss_after: f32,
+}
+
+/// The progressive search that [`run_bfa`], the semi-white-box attacker
+/// and [`crate::run_tbfa`] share. A step costs one forward+backward on the
+/// search batch plus one partial forward per evaluated candidate, and the
+/// search keeps the search-batch logits of the model as it stands (from
+/// the gradient pass, then from each committed candidate), so when the
+/// eval batch equals the search batch (as with
+/// [`AttackData::single_batch`], checked once) eval accuracies cost no
+/// forward. A live search is one `attack.search` span.
+pub(crate) struct Search<'a> {
+    data: &'a AttackData,
+    /// Labels the loss is taken against on the search batch.
+    labels: &'a [usize],
+    /// Minimize the loss (targeted attack) instead of maximizing it.
+    descend: bool,
+    /// See [`AttackData::eval_is_search`].
+    shared: bool,
+    /// The first step's gradient pass, run when the search starts so the
+    /// clean accuracy can be read off its logits.
+    pending: Option<(Vec<Tensor>, ForwardRecord)>,
+    /// Search-batch logits of the model as it stands, when known.
+    logits: Option<Tensor>,
+    _span: dd_obs::SpanGuard,
+}
+
+impl<'a> Search<'a> {
+    /// Open a search over `data`'s search batch against `labels`; a
+    /// search that will take no step (`max_flips == 0`) runs no pass.
+    pub fn start(
+        model: &mut QModel,
+        data: &'a AttackData,
+        labels: &'a [usize],
+        descend: bool,
+        max_flips: usize,
+    ) -> Self {
+        let mut search = Search {
+            data,
+            labels,
+            descend,
+            shared: data.eval_is_search(),
+            pending: None,
+            logits: None,
+            _span: dd_obs::span("attack.search"),
+        };
+        if max_flips > 0 {
+            let pass = model.weight_grads_recorded(&data.search_images, labels);
+            search.logits = Some(pass.1.logits.clone());
+            search.pending = Some(pass);
+        }
+        search
+    }
+
+    /// Rank the non-`skip` bits by first-order gain, evaluate the
+    /// `top_k` best exactly, and commit the winner to `model`. `None`
+    /// (and `model` untouched) when no bit has a positive gain.
+    pub fn step(
+        &mut self,
+        model: &mut QModel,
+        skip: &HashSet<BitAddr>,
+        top_k: usize,
+    ) -> Option<Step> {
+        let (mut grads, record) = match self.pending.take() {
+            Some(pass) => pass,
+            None => model.weight_grads_recorded(&self.data.search_images, self.labels),
+        };
+        if self.descend {
+            // The most negative gains are the highest of the negated
+            // gradient.
+            for g in &mut grads {
+                g.map_inplace(|v| -v);
+            }
+        }
+        let candidates = ranked_candidates(model, &grads, skip, top_k);
+        if candidates.is_empty() {
+            return None;
+        }
+        let sign = if self.descend { -1.0 } else { 1.0 };
+        let loss_before = cross_entropy(&record.logits, self.labels);
+        let (addr, value, logits) = best_candidate(model, &record, &candidates, |l| {
+            sign * cross_entropy(l, self.labels)
+        });
+        let flip = model.flip_bit(addr);
+        self.logits = Some(logits);
+        Some(Step {
+            flip,
+            loss_before,
+            loss_after: sign * value,
+        })
+    }
+
+    /// Eval-batch logits of `model` as it stands: the search's own logits
+    /// when the batches are equal, one forward otherwise. `model` must
+    /// not have changed since the search last touched it.
+    pub fn eval_logits(&self, model: &mut QModel) -> Cow<'_, Tensor> {
+        match &self.logits {
+            Some(logits) if self.shared => Cow::Borrowed(logits),
+            _ => Cow::Owned(model.forward(&self.data.eval_images)),
+        }
+    }
+
+    /// Eval-batch accuracy of `model` as it stands; see
+    /// [`Search::eval_logits`].
+    pub fn eval_accuracy(&self, model: &mut QModel) -> f32 {
+        accuracy(&self.eval_logits(model), &self.data.eval_labels)
+    }
+}
+
 /// Run the progressive bit search, skipping any bit in `skip`.
+///
+/// A step costs one forward+backward on the search batch plus one partial
+/// forward per evaluated candidate: the step's loss
+/// before the flip comes from its gradient pass, and when the eval batch
+/// equals the search batch (as with [`AttackData::single_batch`]) the
+/// clean accuracy and every recorded accuracy are read off logits the
+/// search already has. Each call is one `attack.search` span when
+/// `dd-obs` is recording.
 ///
 /// The model is left in its attacked state; callers that need the clean
 /// model back should snapshot with [`QModel::snapshot_q`] first.
@@ -143,45 +331,28 @@ pub fn run_bfa(
     config: &AttackConfig,
     skip: &HashSet<BitAddr>,
 ) -> AttackReport {
-    let clean_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
+    let mut search = Search::start(model, data, &data.search_labels, false, config.max_flips);
+    let clean_accuracy = search.eval_accuracy(model);
     let mut steps = Vec::new();
     let mut final_accuracy = clean_accuracy;
     let mut reached_target = false;
 
     for iter in 0..config.max_flips {
-        let loss_before = model.loss(&data.search_images, &data.search_labels);
-        let grads = model.weight_grads(&data.search_images, &data.search_labels);
-        let mut candidates = intra_layer_candidates(model, &grads, skip);
-        if candidates.is_empty() {
+        let Some(step) = search.step(model, skip, config.evaluate_top_k) else {
             break;
-        }
-        // Inter-layer search: evaluate the top-k candidates exactly.
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.truncate(config.evaluate_top_k.max(1));
-        let mut best: Option<(BitAddr, f32)> = None;
-        for &(addr, _) in &candidates {
-            let flip = model.flip_bit(addr);
-            let loss = model.loss(&data.search_images, &data.search_labels);
-            model.unflip(flip);
-            if best.is_none_or(|(_, bl)| loss > bl) {
-                best = Some((addr, loss));
-            }
-        }
-        let (addr, loss_after) = best.expect("candidates were non-empty");
-        let flip = model.flip_bit(addr);
-
-        let record = (iter + 1) % config.record_every.max(1) == 0;
-        let accuracy = if record {
-            let acc = model.accuracy(&data.eval_images, &data.eval_labels);
+        };
+        let record_accuracy = (iter + 1) % config.record_every.max(1) == 0;
+        let accuracy = if record_accuracy {
+            let acc = search.eval_accuracy(model);
             final_accuracy = acc;
             Some(acc)
         } else {
             None
         };
         steps.push(AttackStep {
-            flip,
-            loss_before,
-            loss_after,
+            flip: step.flip,
+            loss_before: step.loss_before,
+            loss_after: step.loss_after,
             accuracy,
         });
 
@@ -191,8 +362,8 @@ pub fn run_bfa(
         }
     }
 
-    if !steps.is_empty() && steps.last().unwrap().accuracy.is_none() {
-        final_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
+    if steps.last().is_some_and(|s| s.accuracy.is_none()) {
+        final_accuracy = search.eval_accuracy(model);
     }
 
     AttackReport {
@@ -290,5 +461,29 @@ mod tests {
         assert!(cands.iter().all(|&(_, g)| g > 0.0));
         // One candidate per parameter at most.
         assert!(cands.len() <= model.num_qparams());
+    }
+
+    /// NaN and infinite gradient entries act like zero ones: they never
+    /// become a candidate (a NaN gain used to win its parameter, since no
+    /// finite gain compares above it), and the ranking stays ordered.
+    #[test]
+    fn non_finite_gains_never_become_candidates() {
+        let (mut model, data, _) = trained_victim();
+        let mut grads = model.weight_grads(&data.search_images, &data.search_labels);
+        grads[0].map_inplace(|_| f32::NAN);
+        grads[1].as_mut_slice()[..3].copy_from_slice(&[f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+        let mut zeroed = grads.clone();
+        zeroed[0].fill_zero();
+        zeroed[1].as_mut_slice()[..3].fill(0.0);
+        let skip = HashSet::new();
+        let cands = intra_layer_candidates(&model, &grads, &skip);
+        assert!(!cands.is_empty());
+        assert!(cands
+            .iter()
+            .all(|&(a, g)| a.param != 0 && g.is_finite() && g > 0.0));
+        assert_eq!(cands, intra_layer_candidates(&model, &zeroed, &skip));
+        let ranked = ranked_candidates(&model, &grads, &skip, usize::MAX);
+        assert_eq!(ranked.len(), cands.len());
+        assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
     }
 }

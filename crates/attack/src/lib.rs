@@ -22,6 +22,8 @@ pub mod adaptive;
 pub mod bfa;
 pub mod profile;
 pub mod random_attack;
+#[cfg(test)]
+mod reference;
 pub mod tbfa;
 #[cfg(test)]
 pub(crate) mod testutil;

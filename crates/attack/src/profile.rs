@@ -42,7 +42,8 @@ impl ProfileReport {
     }
 }
 
-/// Run `rounds` rounds of skip-set BFA profiling.
+/// Run `rounds` rounds of skip-set BFA profiling. Each round is one
+/// `attack.profile_round` span when `dd-obs` is recording.
 ///
 /// The model is restored to its pre-profiling state before returning
 /// (the defender profiles on a copy; we profile in place and roll back,
@@ -60,6 +61,7 @@ pub fn multi_round_profile(
     let mut round_final_accuracies = Vec::with_capacity(rounds);
 
     for _round in 0..rounds {
+        let _span = dd_obs::span("attack.profile_round");
         let report = run_bfa(model, data, config, &skip);
         model.restore_q(&snapshot);
         if report.steps.is_empty() {

@@ -13,10 +13,11 @@ use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
+use dd_nn::loss::accuracy;
 use dd_nn::Tensor;
 use dd_qnn::{BitAddr, BitFlip, QModel};
 
-use crate::bfa::AttackData;
+use crate::bfa::{AttackData, Search};
 use crate::threat::AttackConfig;
 
 /// What the targeted attack tries to achieve.
@@ -46,12 +47,13 @@ pub struct TbfaReport {
     pub final_accuracy: f32,
 }
 
-fn attack_success_rate(model: &mut QModel, data: &AttackData, goal: TbfaGoal) -> f32 {
-    let logits = model.forward(&data.eval_images);
+/// Fraction of the in-scope samples of a batch that `logits` classify as
+/// the target class.
+fn success_rate(logits: &Tensor, labels: &[usize], goal: TbfaGoal) -> f32 {
     let preds = logits.argmax_rows();
     let mut hits = 0usize;
     let mut total = 0usize;
-    for (pred, &label) in preds.iter().zip(&data.eval_labels) {
+    for (pred, &label) in preds.iter().zip(labels) {
         if goal.source_class.is_none_or(|s| label == s) {
             total += 1;
             hits += usize::from(*pred == goal.target_class);
@@ -64,34 +66,14 @@ fn attack_success_rate(model: &mut QModel, data: &AttackData, goal: TbfaGoal) ->
     }
 }
 
-/// Gradient of the *targeted* loss (cross-entropy toward the target
-/// labels, restricted to in-scope samples) w.r.t. quantizable weights.
-fn targeted_grads(model: &mut QModel, data: &AttackData, goal: TbfaGoal) -> Vec<Tensor> {
-    // Build the malicious label vector: in-scope samples get the target
-    // class; out-of-scope samples keep their true label so the attack
-    // stays stealthy on them.
-    let labels: Vec<usize> = data
-        .search_labels
-        .iter()
-        .map(|&l| {
-            if goal.source_class.is_none_or(|s| l == s) {
-                goal.target_class
-            } else {
-                l
-            }
-        })
-        .collect();
-    model.weight_grads(&data.search_images, &labels)
-}
-
 /// Run the targeted progressive bit search.
 ///
 /// Each iteration flips the bit with the most *negative* first-order
-/// effect on the targeted loss (we want the malicious labels to become
-/// likely), evaluating the top-k candidates exactly.
-// The loop indexes are semantic (bit/param addresses), not mere
-// positions; iterator rewrites would obscure that.
-#[allow(clippy::needless_range_loop)]
+/// effect on the targeted loss (cross-entropy toward the target labels
+/// for in-scope samples, true labels elsewhere, so the attack stays
+/// stealthy on the rest), evaluating the top-k candidates exactly. Steps
+/// cost what [`crate::run_bfa`]'s do, and with equal search and eval
+/// batches the success rates are read off the search's logits.
 pub fn run_tbfa(
     model: &mut QModel,
     data: &AttackData,
@@ -99,7 +81,6 @@ pub fn run_tbfa(
     goal: TbfaGoal,
     skip: &HashSet<BitAddr>,
 ) -> TbfaReport {
-    let clean_asr = attack_success_rate(model, data, goal);
     let malicious_labels: Vec<usize> = data
         .search_labels
         .iter()
@@ -111,71 +92,32 @@ pub fn run_tbfa(
             }
         })
         .collect();
+    let mut search = Search::start(model, data, &malicious_labels, true, config.max_flips);
+    let clean_asr = success_rate(&search.eval_logits(model), &data.eval_labels, goal);
     let mut flips = Vec::new();
+    let mut committed_eval: Option<Tensor> = None;
 
     for _ in 0..config.max_flips {
-        let grads = targeted_grads(model, data, goal);
-        // Most-negative flip gain per parameter = steepest descent toward
-        // the malicious labels.
-        let mut candidates: Vec<(BitAddr, f32)> = Vec::new();
-        for param in 0..model.num_qparams() {
-            let qt = model.qtensor(param);
-            let scale = qt.quant_params().scale;
-            let g = grads[param].as_slice();
-            let mut best: Option<(BitAddr, f32)> = None;
-            for index in 0..qt.len() {
-                if g[index] == 0.0 {
-                    continue;
-                }
-                let q = qt.get(index);
-                for bit in 0..dd_qnn::WEIGHT_BITS {
-                    let gain = g[index] * scale * dd_qnn::flip_delta(q, bit) as f32;
-                    if gain >= 0.0 {
-                        continue;
-                    }
-                    let addr = BitAddr { param, index, bit };
-                    if skip.contains(&addr) {
-                        continue;
-                    }
-                    if best.is_none_or(|(_, bg)| gain < bg) {
-                        best = Some((addr, gain));
-                    }
-                }
-            }
-            if let Some(b) = best {
-                candidates.push(b);
-            }
-        }
-        if candidates.is_empty() {
+        let Some(step) = search.step(model, skip, config.evaluate_top_k) else {
             break;
-        }
-        candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.truncate(config.evaluate_top_k.max(1));
-        let mut best: Option<(BitAddr, f32)> = None;
-        for &(addr, _) in &candidates {
-            let flip = model.flip_bit(addr);
-            let loss = model.loss(&data.search_images, &malicious_labels);
-            model.unflip(flip);
-            if best.is_none_or(|(_, bl)| loss < bl) {
-                best = Some((addr, loss));
-            }
-        }
-        let (addr, _) = best.expect("non-empty candidates");
-        flips.push(model.flip_bit(addr));
+        };
+        flips.push(step.flip);
 
-        if attack_success_rate(model, data, goal) >= 0.95 {
+        let eval = search.eval_logits(model).into_owned();
+        let asr = success_rate(&eval, &data.eval_labels, goal);
+        committed_eval = Some(eval);
+        if asr >= 0.95 {
             break;
         }
     }
 
-    let final_asr = attack_success_rate(model, data, goal);
-    let final_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
+    let eval = committed_eval.unwrap_or_else(|| search.eval_logits(model).into_owned());
     TbfaReport {
         goal,
         flips,
         clean_asr,
-        final_asr,
-        final_accuracy,
+        final_asr: success_rate(&eval, &data.eval_labels, goal),
+        final_accuracy: accuracy(&eval, &data.eval_labels),
     }
 }
 

@@ -18,7 +18,7 @@
 //! use dd_nn::init::seeded_rng;
 //! use dd_nn::layers::{Flatten, Linear, Relu};
 //! use dd_nn::model::Network;
-//! use dd_nn::train::{train, TrainConfig};
+//! use dd_nn::train::{evaluate, train, TrainConfig};
 //!
 //! let mut rng = seeded_rng(7);
 //! let mut spec = SyntheticSpec::cifar10_like();
@@ -34,7 +34,9 @@
 //!
 //! let config = TrainConfig { epochs: 2, ..TrainConfig::default() };
 //! let report = train(&mut net, &dataset, config, &mut rng);
-//! assert!(report.test_accuracy >= 0.0);
+//! assert_eq!(report.epoch_losses.len(), 2);
+//! let accuracy = evaluate(&mut net, &dataset.test, config.batch_size);
+//! assert!(accuracy >= 0.0);
 //! ```
 
 pub mod data;

@@ -54,6 +54,48 @@ impl Network {
         cur
     }
 
+    /// Full inference forward pass that also returns the input of every
+    /// top-level layer: `inputs[l]` is what layer `l` read.
+    /// [`Network::forward_from`] resumes from these.
+    pub fn forward_recorded(&mut self, x: &Tensor) -> (Tensor, Vec<Tensor>) {
+        let mut inputs = Vec::with_capacity(self.layers.len());
+        let mut cur = x.clone();
+        for layer in &mut self.layers {
+            let next = layer.forward(&cur, false);
+            inputs.push(std::mem::replace(&mut cur, next));
+        }
+        (cur, inputs)
+    }
+
+    /// Inference forward pass from top-level layer `start` on, given that
+    /// layer's input. Equals the full inference forward bit for bit when
+    /// `input` is what layer `start` reads in it, so a change to a
+    /// parameter of layer `start` or later needs only this suffix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not below [`Network::depth`].
+    pub fn forward_from(&mut self, start: usize, input: &Tensor) -> Tensor {
+        let (first, rest) = self.layers[start..]
+            .split_first_mut()
+            .expect("resume layer out of range");
+        let mut cur = first.forward(input, false);
+        for layer in rest {
+            cur = layer.forward(&cur, false);
+        }
+        cur
+    }
+
+    /// Top-level layer of every parameter, in [`Network::visit_params`]
+    /// order. A parameter inside a [`ResidualBlock`] maps to the block.
+    pub fn param_layers(&mut self) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (l, layer) in self.layers.iter_mut().enumerate() {
+            layer.visit_params(&mut |_| out.push(l));
+        }
+        out
+    }
+
     /// Full backward pass from the loss gradient at the output.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut cur = grad_out.clone();

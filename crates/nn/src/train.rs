@@ -36,20 +36,17 @@ impl Default for TrainConfig {
     }
 }
 
-/// Per-epoch training history plus final accuracies.
+/// Per-epoch training history.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainReport {
     /// Mean training loss per epoch.
     pub epoch_losses: Vec<f32>,
-    /// Final accuracy on the training split.
-    pub train_accuracy: f32,
-    /// Final accuracy on the test split.
-    pub test_accuracy: f32,
 }
 
 /// Train `net` on `dataset.train` with SGD, shuffling each epoch using
-/// `rng`. Returns the loss history and final accuracies. Each epoch is one
-/// `nn.train_epoch` span when `dd-obs` is recording.
+/// `rng`. Returns the loss history; callers that want an accuracy call
+/// [`evaluate`]. Each epoch is one `nn.train_epoch` span when `dd-obs` is
+/// recording.
 pub fn train(
     net: &mut Network,
     dataset: &Dataset,
@@ -84,11 +81,7 @@ pub fn train(
         epoch_losses.push(total_loss / batches.max(1) as f32);
     }
 
-    TrainReport {
-        epoch_losses,
-        train_accuracy: evaluate(net, &dataset.train, config.batch_size),
-        test_accuracy: evaluate(net, &dataset.test, config.batch_size),
-    }
+    TrainReport { epoch_losses }
 }
 
 /// Accuracy of `net` on a split, evaluated in mini-batches.
@@ -149,11 +142,8 @@ mod tests {
             weight_decay: 0.0,
         };
         let report = train(&mut net, &ds, cfg, &mut rng);
-        assert!(
-            report.test_accuracy > 0.8,
-            "mlp failed to learn: {}",
-            report.test_accuracy
-        );
+        let test_accuracy = evaluate(&mut net, &ds.test, cfg.batch_size);
+        assert!(test_accuracy > 0.8, "mlp failed to learn: {test_accuracy}");
         // Loss should broadly decrease.
         assert!(report.epoch_losses.last().unwrap() < report.epoch_losses.first().unwrap());
     }

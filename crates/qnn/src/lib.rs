@@ -37,7 +37,7 @@ pub mod qtensor;
 pub mod quant;
 
 pub use models::{build_model, Architecture, ModelConfig};
-pub use qmodel::{BitAddr, BitFlip, QModel};
+pub use qmodel::{BitAddr, BitFlip, ForwardRecord, QModel};
 pub use qtensor::QTensor;
 pub use quant::{
     flip_delta, flip_weight_bit, hamming_distance, weight_bit, QuantParams, WEIGHT_BITS,

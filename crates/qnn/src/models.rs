@@ -229,6 +229,36 @@ mod tests {
         }
     }
 
+    /// Resuming the inference forward at any top-level layer from the
+    /// recorded input equals the full forward bit for bit, on every zoo
+    /// architecture (normalization statistics moved off their init by
+    /// one training-mode pass).
+    #[test]
+    fn resuming_at_every_layer_matches_the_full_forward() {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for arch in [
+            Architecture::Mlp,
+            Architecture::Vgg11,
+            Architecture::ResNet18,
+            Architecture::ResNet20,
+            Architecture::ResNet34,
+        ] {
+            let mut rng = seeded_rng(6);
+            let config = ModelConfig::new(arch, 10).with_base_width(2);
+            let mut net = build_model(&config, &mut rng);
+            let x = dd_nn::init::normal(&[3, 3, 16, 16], 1.0, &mut rng);
+            net.forward(&x, true);
+            let full = net.forward(&x, false);
+            let (logits, inputs) = net.forward_recorded(&x);
+            assert_eq!(bits(&logits), bits(&full), "{}", arch.name());
+            assert_eq!(inputs.len(), net.depth());
+            for (l, input) in inputs.iter().enumerate() {
+                let resumed = net.forward_from(l, input);
+                assert_eq!(bits(&resumed), bits(&full), "{} layer {l}", arch.name());
+            }
+        }
+    }
+
     #[test]
     fn resnet34_is_deeper_than_resnet18() {
         let mut rng = seeded_rng(2);

@@ -40,6 +40,16 @@ pub struct BitFlip {
     pub new: i8,
 }
 
+/// The forward half of a recorded gradient pass, kept so that a search
+/// can reuse it instead of running it again.
+#[derive(Debug, Clone)]
+pub struct ForwardRecord {
+    /// Logits of the batch.
+    pub logits: Tensor,
+    /// `layer_inputs[l]` is the input of top-level network layer `l`.
+    pub layer_inputs: Vec<Tensor>,
+}
+
 /// An 8-bit weight-quantized network.
 #[derive(Debug)]
 pub struct QModel {
@@ -47,6 +57,8 @@ pub struct QModel {
     qtensors: Vec<QTensor>,
     /// Position of each quantizable parameter in the full visit order.
     param_positions: Vec<usize>,
+    /// Top-level network layer of each quantizable parameter.
+    qparam_layers: Vec<usize>,
 }
 
 impl QModel {
@@ -66,10 +78,13 @@ impl QModel {
             }
             pos += 1;
         });
+        let layers = net.param_layers();
+        let qparam_layers = param_positions.iter().map(|&p| layers[p]).collect();
         QModel {
             net,
             qtensors,
             param_positions,
+            qparam_layers,
         }
     }
 
@@ -225,7 +240,33 @@ impl QModel {
     pub fn weight_grads(&mut self, images: &Tensor, labels: &[usize]) -> Vec<Tensor> {
         self.net.zero_grad();
         let logits = self.net.forward(images, false);
-        let grad = cross_entropy_grad(&logits, labels);
+        self.backward_weight_grads(&logits, labels)
+    }
+
+    /// [`QModel::weight_grads`] plus the record of its inference forward:
+    /// the logits and every top-level layer's input, from which
+    /// [`QModel::resume_forward`] re-runs only what a flip changes. The
+    /// record keeps every layer input alive through the backward pass.
+    pub fn weight_grads_recorded(
+        &mut self,
+        images: &Tensor,
+        labels: &[usize],
+    ) -> (Vec<Tensor>, ForwardRecord) {
+        self.net.zero_grad();
+        let (logits, layer_inputs) = self.net.forward_recorded(images);
+        let grads = self.backward_weight_grads(&logits, labels);
+        let record = ForwardRecord {
+            logits,
+            layer_inputs,
+        };
+        (grads, record)
+    }
+
+    /// Backward pass from the cross-entropy of `logits` (the output of the
+    /// inference forward just run on gradients zeroed before it); returns
+    /// the quantizable parameters' gradients in `param` order.
+    fn backward_weight_grads(&mut self, logits: &Tensor, labels: &[usize]) -> Vec<Tensor> {
+        let grad = cross_entropy_grad(logits, labels);
         self.net.backward(&grad);
         let mut grads = Vec::with_capacity(self.qtensors.len());
         self.net.visit_params(&mut |p| {
@@ -234,6 +275,31 @@ impl QModel {
             }
         });
         grads
+    }
+
+    /// Top-level network layer holding quantizable parameter `param`: the
+    /// layer an inference forward resumes from after a flip in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `param` is out of range.
+    pub fn qparam_layer(&self, param: usize) -> usize {
+        self.qparam_layers[param]
+    }
+
+    /// Inference logits of the record's batch after the weights of
+    /// quantizable parameter `param` changed since `record` was taken (and
+    /// nothing before its layer did): the network re-runs from
+    /// [`QModel::qparam_layer`] on the recorded input. Bit-identical to
+    /// [`QModel::forward`] on that batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `param` is out of range or the record holds fewer layer
+    /// inputs than the network has layers.
+    pub fn resume_forward(&mut self, record: &ForwardRecord, param: usize) -> Tensor {
+        let layer = self.qparam_layers[param];
+        self.net.forward_from(layer, &record.layer_inputs[layer])
     }
 
     /// First-order estimate of the loss increase from flipping `addr`,
