@@ -11,8 +11,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use dd_nn::loss::accuracy;
 use dd_nn::Tensor;
 use dd_qnn::{BitAddr, BitFlip, QModel};
@@ -21,7 +19,7 @@ use crate::bfa::{AttackData, Search};
 use crate::threat::AttackConfig;
 
 /// What the targeted attack tries to achieve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TbfaGoal {
     /// Only samples of this class are redirected (`None` = all samples,
     /// the "all-to-one" variant).
@@ -31,7 +29,7 @@ pub struct TbfaGoal {
 }
 
 /// Report of a targeted campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TbfaReport {
     /// The goal attacked.
     pub goal: TbfaGoal,

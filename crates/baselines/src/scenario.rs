@@ -29,23 +29,19 @@ use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use dd_attack::{run_bfa, run_tbfa, AttackConfig, AttackData, TbfaGoal, ThreatModel};
-use dd_dram::{CellSweep, DramConfig, DramError, GlobalRowId, MemoryController, Nanos, TraceMode};
+use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController, Nanos, TraceMode};
 use dd_nn::data::{Dataset, SyntheticSpec};
 use dd_nn::train::{train, TrainConfig};
 use dd_nn::Network;
 use dd_qnn::{build_model, Architecture, BitAddr, BitFlip, ModelConfig, QModel};
-use dd_workload::{
-    all_data_rows, drive_benign_window_sweep, BackgroundLoad, BenignTraffic, SpanTraffic,
-    SweepCell, WORKLOAD_PROTOCOL_VERSION,
-};
+use dd_workload::{all_data_rows, BackgroundLoad, BenignTraffic, WORKLOAD_PROTOCOL_VERSION};
 use dnn_defender::defense::{
     CampaignView, DefenseConfig, DefenseMechanism, DefenseStats, DnnDefenderDefense, DynDefense,
     Undefended,
@@ -58,7 +54,7 @@ use crate::software::{SoftwareDefense, SoftwareKind};
 use crate::swap_based::{RowSwapMechanism, SwapScheme};
 
 /// Which attacker a scenario cell runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackerKind {
     /// The stock progressive bit search (Rakin et al. 2019).
     Bfa,
@@ -164,16 +160,16 @@ impl StableHash for AttackerKind {
 ///
 /// v3: benign traffic is seeded from the non-defense axes only
 /// (`ScenarioMatrix::traffic_seed`), so cells sharing (attacker,
-/// device, load) carry byte-identical traffic and can be replayed as one
-/// cross-cell sweep group ([`dd_dram::CellSweep`]). Every cell that runs
-/// background traffic computes different numbers than v2.
+/// device, load) carry byte-identical traffic and differ only by their
+/// defense. Every cell that runs background traffic computes different
+/// numbers than v2.
 pub const CELL_PROTOCOL_VERSION: u64 = 3;
 
 /// The canonical defense roster: every mitigation the paper's Table 3
 /// compares, as a closed enum so the scenario matrix, the artifacts, and
 /// the rendered report all draw row labels (and factories) from one
 /// place instead of ad-hoc strings at each call site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DefenseKind {
     /// Undefended DRAM (the Table 3 baseline row).
     Undefended,
@@ -391,7 +387,7 @@ impl StableHash for VictimSpec {
 pub type DefenseFactory = Box<dyn Fn(u64, &DramConfig) -> DynDefense + Send + Sync>;
 
 /// One fully-resolved cell of the matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// Defense row label.
     pub defense: String,
@@ -407,7 +403,7 @@ pub struct Scenario {
 
 /// What the benign traffic sharing a cell's device experienced and
 /// provoked (present only for cells with a background load).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BenignReport {
     /// Benign ops executed across the cell's windows.
     pub ops: u64,
@@ -456,7 +452,7 @@ impl BenignReport {
 }
 
 /// One evaluated cell: the Table 3 row plus the defense's bookkeeping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellReport {
     /// The cell that produced this row.
     pub scenario: Scenario,
@@ -475,7 +471,7 @@ pub struct CellReport {
 }
 
 /// Every cell of one matrix run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatrixReport {
     /// Cell rows in deterministic (defense-major) order.
     pub cells: Vec<CellReport>,
@@ -581,7 +577,7 @@ impl MatrixReport {
 
 /// One row of the Fig. 8 analytical comparison emitted next to the
 /// matrix: time-to-break and capacity at a RowHammer threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Row {
     /// RowHammer threshold.
     pub t_rh: u64,
@@ -683,7 +679,6 @@ pub struct ScenarioMatrix {
     budget: usize,
     seed: u64,
     threads: Option<usize>,
-    sweep: bool,
 }
 
 impl ScenarioMatrix {
@@ -701,20 +696,7 @@ impl ScenarioMatrix {
             budget: 25,
             seed: 0x5ca1_ab1e,
             threads: None,
-            sweep: true,
         }
-    }
-
-    /// Enable or disable cross-cell sweep grouping (default: on).
-    ///
-    /// Grouping is byte-invariant — every cell's report is identical
-    /// either way, which the conformance suite's grouping-invariance law
-    /// enforces — so this toggle exists for differential tests and for
-    /// isolating performance effects. It is deliberately absent from
-    /// [`ScenarioMatrix::config_hash`] and the cell cache keys.
-    pub fn sweep_groups(mut self, on: bool) -> Self {
-        self.sweep = on;
-        self
     }
 
     /// Add an attacker axis entry.
@@ -863,9 +845,8 @@ impl ScenarioMatrix {
 
     /// Seed of a cell's benign traffic: derived from the *non-defense*
     /// axes only, so every cell sharing (attacker, device, load) builds
-    /// byte-identical traffic regardless of its defense. This is what
-    /// makes cross-cell sweep groups possible — grouped cells replay one
-    /// decoded command stream — and it is a protocol property:
+    /// byte-identical traffic regardless of its defense, so a row's
+    /// numbers differ by the defense alone. This is a protocol property:
     /// [`CELL_PROTOCOL_VERSION`] v3.
     fn traffic_seed(
         &self,
@@ -1098,247 +1079,59 @@ impl ScenarioMatrix {
 
             // Probe each pending cell's defense on a throwaway instance
             // (the factory is cheap next to victim training) for its
-            // victim width and whether it taps the device online.
-            let probes: Vec<(usize, bool)> = pending
+            // victim width.
+            let widths: Vec<usize> = pending
                 .iter()
                 .map(|&i| {
                     let (d, a, m, l) = cells[i];
                     let (name, factory, _) = &self.defenses[d];
                     let seed = self.cell_seed(name, &attackers[a], &drams[m], loads[l]);
-                    let probe = factory(seed, &drams[m]);
-                    (probe.capacity_multiplier(), probe.has_online_tap())
+                    factory(seed, &drams[m]).capacity_multiplier()
                 })
                 .collect();
 
-            // Partition the pending cells into cross-cell sweep groups:
-            // same (attacker, device, load) with background traffic and
-            // an untapped defense. Grouped cells pause after setup, run
-            // their benign warmup windows as one kernel sweep, then
-            // return to the pool as attack jobs; everything else runs
-            // the unchanged solo path. Grouping is byte-invariant, so
-            // scheduling cannot change any report.
-            let mut group_of: Vec<Option<usize>> = vec![None; pending.len()];
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            if self.sweep {
-                let mut by_key: HashMap<(usize, usize, usize), Vec<usize>> = HashMap::new();
-                for (p, &i) in pending.iter().enumerate() {
-                    let (_, a, m, l) = cells[i];
-                    if loads[l] == BackgroundLoad::None || probes[p].1 {
-                        continue;
-                    }
-                    by_key.entry((a, m, l)).or_default().push(p);
-                }
-                for members in by_key.into_values() {
-                    if members.len() >= 2 {
-                        let g = groups.len();
-                        for &p in &members {
-                            group_of[p] = Some(g);
-                        }
-                        groups.push(members);
-                    }
-                }
-                dd_obs::add("matrix.sweep_groups", groups.len() as u64);
-            }
-
-            enum Job {
-                Setup { p: usize },
-                Attack { i: usize, state: Box<CellState> },
-            }
-            struct GroupSlot {
-                expected: usize,
-                arrived: Vec<(usize, Box<CellState>)>,
-            }
-
-            /// The worker pool's shared state: jobs ready to run (a
-            /// stack) and cells not yet finished. Workers with nothing to
-            /// pop wait on `wake`, which is notified on every push and
-            /// when the last cell finishes.
-            struct Queue {
-                jobs: Vec<Job>,
-                remaining: usize,
-            }
-
-            // Set up the widest victims first (a stable sort, so equal
+            // Run the widest victims first (a stable sort, so equal
             // widths keep matrix order): a wide victim trains alongside
-            // the narrow one instead of after it.
+            // the narrow one instead of after it. Each worker claims the
+            // next cell in that order and runs it start to finish.
             let mut order: Vec<usize> = (0..pending.len()).collect();
-            order.sort_by_key(|&p| Reverse(probes[p].0));
-            let queue = Mutex::new(Queue {
-                jobs: order.into_iter().rev().map(|p| Job::Setup { p }).collect(),
-                remaining: pending.len(),
-            });
-            let wake = Condvar::new();
-            let memo = RunMemo::new(probes.iter().map(|&(width, _)| width));
-            let group_slots: Vec<Mutex<GroupSlot>> = groups
-                .iter()
-                .map(|members| {
-                    Mutex::new(GroupSlot {
-                        expected: members.len(),
-                        arrived: Vec::new(),
-                    })
-                })
-                .collect();
-            let pending = &pending;
-            let cells = &cells;
-            let attackers = &attackers;
-            let drams = &drams;
-            let loads = &loads;
-            let group_of = &group_of;
-            let queue = &queue;
-            let wake = &wake;
-            let memo = &memo;
-            let group_slots = &group_slots;
-            let done = &done;
-            let slots = &slots;
+            order.sort_by_key(|&p| Reverse(widths[p]));
+            let next = AtomicUsize::new(0);
+            let memo = RunMemo::new(widths.iter().copied());
 
-            let push_jobs = move |jobs: Vec<Job>| {
-                queue.lock().expect("job queue").jobs.extend(jobs);
-                wake.notify_all();
-            };
-            let push_jobs = &push_jobs;
-
-            let finish_cell = move |i: usize, result: Result<CellReport, DramError>, ms: u64| {
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let (Some(observe), Ok(cell)) = (progress, &result) {
-                    observe(&CellProgress {
-                        done: n,
-                        total,
-                        scenario: cell.scenario.clone(),
-                        cache_hit: false,
-                        millis: ms,
+            let run_cell = |i: usize| -> Result<CellReport, DramError> {
+                let (d, a, m, l) = cells[i];
+                let name: &str = &self.defenses[d].0;
+                let mut state = {
+                    let _span = dd_obs::span_with("matrix.cell_setup", || {
+                        format!("defense={name} cell={i}")
                     });
-                }
-                *slots[i].lock().expect("cell slot") = Some(result);
-                let mut q = queue.lock().expect("job queue");
-                q.remaining -= 1;
-                if q.remaining == 0 {
-                    wake.notify_all();
-                }
+                    self.cell_setup(&memo, d, &attackers[a], &drams[m], loads[l])?
+                };
+                self.warmup_solo(&mut state)?;
+                let _span =
+                    dd_obs::span_with("matrix.cell_attack", || format!("defense={name} cell={i}"));
+                self.cell_attack(state)
             };
-            let finish_cell = &finish_cell;
 
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(move || loop {
-                        let job = {
-                            let mut q = queue.lock().expect("job queue");
-                            loop {
-                                if let Some(job) = q.jobs.pop() {
-                                    break Some(job);
-                                }
-                                if q.remaining == 0 {
-                                    break None;
-                                }
-                                // Jobs still in flight on other workers
-                                // may yet push attack work back to the
-                                // pool.
-                                q = wake.wait(q).expect("job queue");
-                            }
-                        };
-                        let Some(job) = job else { break };
-                        match job {
-                            Job::Setup { p } => {
-                                let i = pending[p];
-                                let (d, a, m, l) = cells[i];
-                                let started = Instant::now();
-                                let setup = {
-                                    let name: &str = &self.defenses[d].0;
-                                    let _span = dd_obs::span_with("matrix.cell_setup", || {
-                                        format!("defense={name} cell={i}")
-                                    });
-                                    self.cell_setup(memo, d, &attackers[a], &drams[m], loads[l])
-                                };
-                                let mut ready: Vec<(usize, Box<CellState>)> = Vec::new();
-                                match (setup, group_of[p]) {
-                                    (Ok(mut state), None) => match self.warmup_solo(&mut state) {
-                                        Ok(()) => {
-                                            state.millis += started.elapsed().as_millis() as u64;
-                                            push_jobs(vec![Job::Attack {
-                                                i,
-                                                state: Box::new(state),
-                                            }]);
-                                        }
-                                        Err(e) => finish_cell(
-                                            i,
-                                            Err(e),
-                                            started.elapsed().as_millis() as u64,
-                                        ),
-                                    },
-                                    (Ok(mut state), Some(g)) => {
-                                        state.millis += started.elapsed().as_millis() as u64;
-                                        let mut slot = group_slots[g].lock().expect("group slot");
-                                        slot.arrived.push((i, Box::new(state)));
-                                        if slot.arrived.len() == slot.expected {
-                                            ready = std::mem::take(&mut slot.arrived);
-                                        }
-                                    }
-                                    (Err(e), None) => {
-                                        finish_cell(i, Err(e), started.elapsed().as_millis() as u64)
-                                    }
-                                    (Err(e), Some(g)) => {
-                                        finish_cell(
-                                            i,
-                                            Err(e),
-                                            started.elapsed().as_millis() as u64,
-                                        );
-                                        // Shrink the group so the cells
-                                        // that did set up still run.
-                                        let mut slot = group_slots[g].lock().expect("group slot");
-                                        slot.expected -= 1;
-                                        if slot.expected > 0 && slot.arrived.len() == slot.expected
-                                        {
-                                            ready = std::mem::take(&mut slot.arrived);
-                                        }
-                                    }
-                                }
-                                if !ready.is_empty() {
-                                    // The last member to arrive warms the
-                                    // whole group up in one sweep, then
-                                    // returns the cells to the pool.
-                                    let warm_started = Instant::now();
-                                    let (idxs, mut states): (Vec<usize>, Vec<CellState>) =
-                                        ready.into_iter().map(|(ci, b)| (ci, *b)).unzip();
-                                    match self.warmup_group(&mut states) {
-                                        Ok(()) => {
-                                            let share = (warm_started.elapsed().as_millis() as u64)
-                                                / states.len().max(1) as u64;
-                                            push_jobs(
-                                                idxs.into_iter()
-                                                    .zip(states)
-                                                    .map(|(ci, mut st)| {
-                                                        st.millis += share;
-                                                        Job::Attack {
-                                                            i: ci,
-                                                            state: Box::new(st),
-                                                        }
-                                                    })
-                                                    .collect(),
-                                            );
-                                        }
-                                        Err(e) => {
-                                            let ms = warm_started.elapsed().as_millis() as u64;
-                                            for ci in idxs {
-                                                finish_cell(ci, Err(e.clone()), ms);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            Job::Attack { i, state } => {
-                                let started = Instant::now();
-                                let base_ms = state.millis;
-                                let (d, _, _, _) = cells[i];
-                                let name: &str = &self.defenses[d].0;
-                                let _span = dd_obs::span_with("matrix.cell_attack", || {
-                                    format!("defense={name} cell={i}")
+                    scope.spawn(|| {
+                        while let Some(&p) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let i = pending[p];
+                            let started = Instant::now();
+                            let result = run_cell(i);
+                            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+                            if let (Some(observe), Ok(cell)) = (progress, &result) {
+                                observe(&CellProgress {
+                                    done: n,
+                                    total,
+                                    scenario: cell.scenario.clone(),
+                                    cache_hit: false,
+                                    millis: started.elapsed().as_millis() as u64,
                                 });
-                                let result = self.cell_attack(*state);
-                                finish_cell(
-                                    i,
-                                    result,
-                                    base_ms + started.elapsed().as_millis() as u64,
-                                );
                             }
+                            *slots[i].lock().expect("cell slot") = Some(result);
                         }
                     });
                 }
@@ -1366,9 +1159,7 @@ impl ScenarioMatrix {
     /// prepare and deploy it, run the attacker's search (shared through
     /// `memo` with every cell whose pre-search model is identical),
     /// assemble the scratch device and its background traffic —
-    /// everything up to (but excluding) the warmup windows. The returned
-    /// state is `Send`, so a sweep group can collect its members from
-    /// whichever worker threads set them up.
+    /// everything up to (but excluding) the warmup windows.
     fn cell_setup(
         &self,
         memo: &RunMemo,
@@ -1500,81 +1291,44 @@ impl ScenarioMatrix {
             clean_accuracy: clean,
             t_rh,
             false_ops_base,
-            millis: 0,
         })
     }
 
-    /// Phase 2, solo: the two benign-only measurement windows — any
-    /// defensive operation fired here is a false positive (nothing is
-    /// under attack yet). The window protocol (rollover notification,
-    /// budget, boundary-minus-1 sampling point) is the workload driver's.
+    /// Phase 2: the two benign-only measurement windows — any defensive
+    /// operation fired here is a false positive (nothing is under attack
+    /// yet). The window protocol (rollover notification, budget,
+    /// boundary-minus-1 sampling point) is the workload driver's; after
+    /// each window the benign rows' disturbance is sampled and the
+    /// clock crosses the boundary.
     fn warmup_solo(&self, state: &mut CellState) -> Result<(), DramError> {
         let _span = dd_obs::span("matrix.warmup_solo");
-        if state.traffic.is_some() {
-            for _ in 0..2 {
-                let span = {
-                    let CellState {
-                        traffic,
-                        mem,
-                        defense,
-                        ..
-                    } = state;
-                    traffic
-                        .as_mut()
-                        .expect("checked above")
-                        .drive_benign_window(mem, &mut **defense, None)?
-                };
-                state.absorb_warmup_window(span);
-            }
-        }
-        state.finish_warmup();
-        Ok(())
-    }
-
-    /// Phase 2, grouped: the same two benign-only windows, but driven
-    /// across a whole sweep group in one cross-cell kernel pass per
-    /// window ([`drive_benign_window_sweep`]). Relies on what the
-    /// scheduler's grouping guarantees — identical device configs and
-    /// clocks, background traffic present, untapped defenses — and is
-    /// bit-identical to running [`ScenarioMatrix::warmup_solo`] on every
-    /// member, which the conformance suite's grouping-invariance law
-    /// enforces.
-    fn warmup_group(&self, states: &mut [CellState]) -> Result<(), DramError> {
-        if states.len() == 1 {
-            return self.warmup_solo(&mut states[0]);
-        }
-        let cells = states.len();
-        let _span = dd_obs::span_with("matrix.warmup_group", || format!("cells={cells}"));
-        let config = states[0].dram.clone();
-        let mut sweep = CellSweep::new(&config, states.len());
+        let CellState {
+            traffic,
+            benign,
+            mem,
+            defense,
+            disturbed,
+            t_rh,
+            false_ops_base,
+            ..
+        } = state;
+        let (Some(traffic), Some(benign)) = (traffic.as_mut(), benign.as_mut()) else {
+            return Ok(());
+        };
         for _ in 0..2 {
-            let span = {
-                let mut cells: Vec<SweepCell<'_>> = states
-                    .iter_mut()
-                    .map(|s| {
-                        let CellState {
-                            mem,
-                            defense,
-                            traffic,
-                            ..
-                        } = s;
-                        SweepCell {
-                            mem,
-                            defense: &mut **defense,
-                            map: None,
-                            traffic: traffic.as_mut().expect("grouped cell has traffic"),
-                        }
-                    })
-                    .collect();
-                drive_benign_window_sweep(&mut sweep, &mut cells)?
-            };
-            for s in states.iter_mut() {
-                s.absorb_warmup_window(span);
+            let span = traffic.drive_benign_window(mem, &mut **defense, None)?;
+            benign.ops += span.ops;
+            benign.activations += span.activations;
+            for &row in traffic.universe() {
+                let d = mem.disturbance(row);
+                benign.peak_disturbance = benign.peak_disturbance.max(d);
+                if d >= *t_rh / 2 {
+                    disturbed.insert(row);
+                }
             }
+            mem.advance(Nanos(1));
         }
-        for s in states.iter_mut() {
-            s.finish_warmup();
-        }
+        benign.false_defense_ops = defense.stats().defense_ops - *false_ops_base;
         Ok(())
     }
 
@@ -1870,10 +1624,7 @@ impl SearchKey {
 
 /// A cell paused between its setup phase (victim preparation, defense
 /// deployment, attack search, device + traffic assembly) and its
-/// measurement phases (warmup, then attacked windows). States are `Send`
-/// — [`DefenseMechanism`] and the traffic's generators carry the bound —
-/// so the matrix scheduler can collect a sweep group's members from the
-/// worker threads that set them up and warm them up together.
+/// measurement phases (warmup, then attacked windows).
 struct CellState {
     scenario: Scenario,
     dram: DramConfig,
@@ -1890,39 +1641,6 @@ struct CellState {
     /// Defense-op counter at the end of setup; the warmup windows'
     /// false-positive delta is measured from here.
     false_ops_base: u64,
-    /// Wall-clock milliseconds attributed to this cell so far (setup,
-    /// plus its share of a grouped warmup).
-    millis: u64,
-}
-
-impl CellState {
-    /// Absorb one warmup window's traffic into the benign report, sample
-    /// benign-row disturbance at the boundary-minus-1 instant, and cross
-    /// the window boundary — identical bookkeeping for the solo and
-    /// grouped warmup paths.
-    fn absorb_warmup_window(&mut self, span: SpanTraffic) {
-        let (Some(t), Some(b)) = (self.traffic.as_ref(), self.benign.as_mut()) else {
-            return;
-        };
-        b.ops += span.ops;
-        b.activations += span.activations;
-        for &row in t.universe() {
-            let d = self.mem.disturbance(row);
-            b.peak_disturbance = b.peak_disturbance.max(d);
-            if d >= self.t_rh / 2 {
-                self.disturbed.insert(row);
-            }
-        }
-        self.mem.advance(Nanos(1));
-    }
-
-    /// Close the warmup phase: everything the defense fired since setup
-    /// was fired with nothing under attack — false positives.
-    fn finish_warmup(&mut self) {
-        if let Some(b) = self.benign.as_mut() {
-            b.false_defense_ops = self.defense.stats().defense_ops - self.false_ops_base;
-        }
-    }
 }
 
 /// Device label used in report rows and cell seeds.
@@ -2137,13 +1855,11 @@ mod tests {
     }
 
     #[test]
-    fn sweep_grouping_is_report_invariant() {
-        // The matrix-level grouping law: a run with cross-cell sweep
-        // grouping on is byte-identical to the same run with every cell
-        // solo. The roster mixes groupable defenses with a tapped one
-        // (DNN-Defender), which the scheduler must route down the
-        // per-cell path even when grouping is on.
-        let build = |sweep: bool| {
+    fn reports_are_invariant_under_thread_count() {
+        // The scheduler law: which worker runs which cell, and in what
+        // order, cannot change any report. The roster mixes defenses
+        // with and without an online tap over background traffic.
+        let build = |threads: usize| {
             quick_matrix()
                 .budget(6)
                 .background(BackgroundLoad::Light)
@@ -2151,25 +1867,21 @@ mod tests {
                 .defense_kind(DefenseKind::Rrs)
                 .defense_kind(DefenseKind::Shadow)
                 .defense_kind(DefenseKind::DnnDefender)
-                .sweep_groups(sweep)
+                .threads(threads)
                 .run()
                 .expect("matrix")
         };
-        let grouped = build(true);
-        let solo = build(false);
-        assert_eq!(grouped.cells.len(), solo.cells.len());
-        for (g, s) in grouped.cells.iter().zip(&solo.cells) {
-            assert_eq!(g.scenario, s.scenario);
-            assert_eq!(g.clean_accuracy, s.clean_accuracy, "{}", g.scenario.defense);
+        let serial = build(1);
+        let parallel = build(3);
+        assert_eq!(serial.cells.len(), 4);
+        assert_eq!(parallel.cells.len(), serial.cells.len());
+        for (p, s) in parallel.cells.iter().zip(&serial.cells) {
             assert_eq!(
-                g.post_attack_accuracy, s.post_attack_accuracy,
+                p.to_json().render_pretty(),
+                s.to_json().render_pretty(),
                 "{}",
-                g.scenario.defense
+                s.scenario.defense
             );
-            assert_eq!(g.attempts, s.attempts, "{}", g.scenario.defense);
-            assert_eq!(g.landed, s.landed, "{}", g.scenario.defense);
-            assert_eq!(g.stats, s.stats, "{}", g.scenario.defense);
-            assert_eq!(g.benign, s.benign, "{}", g.scenario.defense);
         }
     }
 

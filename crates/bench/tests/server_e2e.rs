@@ -72,7 +72,7 @@ fn sweep_base_keys_match_workload_matrix() {
 }
 
 /// Cells served over the protocol are byte-identical to a batch run of
-/// the same specs (the tentpole acceptance criterion).
+/// the same specs.
 #[test]
 fn served_cells_are_byte_identical_to_batch() {
     let specs = [
@@ -115,8 +115,8 @@ fn served_cells_are_byte_identical_to_batch() {
 }
 
 /// A client whose budget cannot cover a cell gets a structured rejection
-/// — never a hang, never unpriced work (the satellite acceptance
-/// criterion, exercised through the public protocol surface).
+/// — never a hang, never unpriced work (exercised through the public
+/// protocol surface).
 #[test]
 fn exhausted_budget_is_a_structured_rejection() {
     let mut server = quick_server();

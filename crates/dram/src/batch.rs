@@ -36,8 +36,8 @@ use crate::timing::Nanos;
 /// The canonical ops-per-chunk boundary of the batched replay plane.
 ///
 /// Consumers that feed [`DecodedBatch`] chunk-by-chunk — the workload
-/// driver's batched issue loop, the cross-cell sweep, and the v2 trace
-/// container's chunk framing — size their chunks to this constant, so a
+/// driver's batched issue loop and the v2 trace container's chunk
+/// framing — size their chunks to this constant, so a
 /// streamed trace chunk maps 1:1 onto one `issue_batch` call without
 /// re-buffering.
 pub const BATCH_CHUNK_OPS: usize = 512;

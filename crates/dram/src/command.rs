@@ -6,13 +6,11 @@
 //! swaps are built from. A bounded [`CommandTrace`] records issued commands
 //! for inspection in tests and experiments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::GlobalRowId;
 use crate::timing::Nanos;
 
 /// The kind of a DRAM bus command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandKind {
     /// Activate a row (open it into the row buffer).
     Act,
@@ -29,7 +27,7 @@ pub enum CommandKind {
 }
 
 /// One issued command with its target and issue timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramCommand {
     /// What was issued.
     pub kind: CommandKind,
@@ -47,7 +45,7 @@ pub struct DramCommand {
 /// of workload commands must not pay for it. The controller checks the
 /// mode *before* building a [`DramCommand`], so [`TraceMode::Disabled`]
 /// and [`TraceMode::CountersOnly`] skip the struct construction entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// Retain the most recent commands in the ring (the default).
     Full,

@@ -18,8 +18,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::{DramConfig, GlobalRowId, RowInSubarray};
 use crate::timing::Nanos;
 
@@ -110,7 +108,7 @@ impl HammerTracker {
 }
 
 /// Outcome of an attempted RowHammer bit-flip on a victim row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlipOutcome {
     /// The victim's disturbance reached `T_RH`; the listed bit offsets were
     /// flipped in the row payload.
@@ -136,7 +134,7 @@ impl FlipOutcome {
 }
 
 /// Static RowHammer parameters derived from a [`DramConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowHammerModel {
     /// Activation threshold `T_RH`.
     pub threshold: u64,

@@ -1,7 +1,7 @@
 #![deny(missing_docs)]
 //! `dd-obs`: zero-dependency structured tracing and metrics.
 //!
-//! The simulator's hot layers (batched kernel, cross-cell sweep, matrix
+//! The simulator's hot layers (batched kernel, workload driver, matrix
 //! scheduler, executor, server pipeline) record *spans* (named, optionally
 //! labelled intervals on a shared monotonic clock), *counters*, *events*
 //! (labelled instants) and *log2 histograms* into per-thread recorders.
@@ -9,7 +9,7 @@
 //! and the whole subsystem sits behind a single relaxed atomic flag:
 //! with [`ObsSink::Disabled`] (the default) every probe is one atomic load
 //! and an early return, which `repro kernel` proves costs ≤ the committed
-//! overhead ceiling on both kernel fast paths.
+//! overhead ceiling on the batched kernel path.
 //!
 //! Data flows out through [`snapshot_and_reset`], which drains every
 //! thread's ring buffers into a [`Snapshot`]; exporters turn that into

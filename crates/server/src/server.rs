@@ -763,8 +763,7 @@ impl SweepServer {
 
     /// Pass 3 — execute the surviving pending cells on the work-stealing
     /// executor, co-scheduling same-geometry jobs onto one worker (warm
-    /// device tables, and the seam the cross-cell sweep kernel batches
-    /// across). Takes no `&self`: callers run this outside the server
+    /// device tables). Takes no `&self`: callers run this outside the server
     /// lock. Jobs are panic-isolated with bounded retry; `dd-chaos`
     /// injects worker panics (`executor.job_panic`) and stalls
     /// (`executor.job_stall`) here, keyed on (cell key, request sequence,

@@ -51,8 +51,8 @@ pub fn tenant_fill(row: dd_dram::RowInSubarray) -> u8 {
 ///
 /// Generators never touch the device themselves; the driver executes the
 /// ops they emit, which is what makes record/replay exact. Generators are
-/// `Send` so a paused cell (traffic included) can migrate between the
-/// scenario matrix's worker threads for cross-cell sweep grouping.
+/// `Send` so traffic, and anything that owns it, can move between
+/// threads.
 pub trait WorkloadGenerator: Send {
     /// Short label for reports and traces.
     fn label(&self) -> &str;
